@@ -24,7 +24,13 @@ GO ?= go
 # delta codec round-trip, the delta_encode stage (client assembly
 # bit-identical, gate fallback), and the wire contract: backbone +
 # delta playback pixel-identical to origin, old↔new interop via the
-# full-model OpModel path, corruption falling back gracefully.
+# full-model OpModel path, corruption falling back gracefully. The
+# playback-paths block pins the one Algorithm 1 engine: core.Player, the
+# classic-framed Client and a mux-routed Client must produce identical
+# frames, cache/byte counters and metrics on the plain and delta+int8
+# fixtures under every cache budget and the same injected model-fetch
+# failure; and a response header declaring a huge payload must fail
+# without allocating it up front, on both framings.
 verify: build vet lint
 	$(GO) test -run 'TestFixtures/(lockorder|lostcancel|atomicfield|errcmp|timerleak)' -v ./internal/lint/
 	$(GO) test -race -run 'TestRunnerDeterministic|TestRunnerCache' -v ./internal/lint/
@@ -39,6 +45,7 @@ verify: build vet lint
 	$(GO) test -run 'TestDeltaRoundTripProperty|TestDeltaInt8Composition|TestDeltaWrongBackbone' -v ./internal/nn/
 	$(GO) test -run 'TestDeltaStageModelStream|TestDeltaGateForcesFallback' -v ./internal/core/
 	$(GO) test -run 'TestPlayModelStreamOverWire|TestModelStreamInterop|TestModelStreamCorruptionFallsBack' -v ./internal/transport/
+	$(GO) test -run 'TestPlaybackPathsAgree|TestResponseReadAllocatesAsBytesArrive' -v ./internal/transport/
 	$(GO) test -race -timeout 30m ./...
 
 build:

@@ -86,12 +86,16 @@ func TestPrepareAndPlayObservability(t *testing.T) {
 	if clusters != len(p.Models) {
 		t.Errorf("train span has %d cluster children, want %d", clusters, len(p.Models))
 	}
+	// The local play tree has the wire client's shape: one segment_fetch
+	// child per segment, decoding in the root's own time.
 	play := traces[1]
-	if play.Name != "play" || len(play.Children) != 2 {
+	if play.Name != "play" || len(play.Children) != len(p.Manifest.Segments) {
 		t.Fatalf("play trace = %+v", play)
 	}
-	if n := len(play.Children[0].Children); n != len(p.Manifest.Segments) {
-		t.Errorf("session span has %d segment_fetch children, want %d", n, len(p.Manifest.Segments))
+	for i, c := range play.Children {
+		if c.Name != "segment_fetch" {
+			t.Errorf("play child %d is %q, want segment_fetch", i, c.Name)
+		}
 	}
 }
 

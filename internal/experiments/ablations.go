@@ -278,7 +278,10 @@ func AblationQuantization(cfg EvalConfig) (Table, map[string]float64, map[string
 			if err := nn.LoadWeightsAny(bytes.NewReader(data), m.Params()); err != nil {
 				panic(err)
 			}
-			quantized[label] = &core.SegmentModel{Label: label, Config: sm.Config, Model: m, Bytes: data}
+			// The player loads Bytes the way the wire does (dcW1), so it
+			// carries the dequantized weights; the table reports the
+			// quantized download size.
+			quantized[label] = &core.SegmentModel{Label: label, Config: sm.Config, Model: m, Bytes: nn.EncodeWeights(m.Params())}
 		}
 		qPrep := *prep
 		qPrep.Models = quantized

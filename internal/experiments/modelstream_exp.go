@@ -70,12 +70,6 @@ func sessionModelBytes(p *core.Prepared, k int) (*stream.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess.FetchData = func(label int) ([]byte, error) {
-		if sm, ok := p.Models[label]; ok {
-			return sm.WireBytes(), nil
-		}
-		return nil, nil
-	}
 	sess.Run()
 	return sess, nil
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -96,6 +97,24 @@ func (s *Span) SpanID() uint64 {
 		return 0
 	}
 	return s.spanID
+}
+
+type spanKey struct{}
+
+// ContextWithSpan returns ctx carrying sp as the active span, the parent
+// that work done under ctx hangs its own spans off. A nil sp returns ctx
+// unchanged.
+func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
+	if sp == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, sp)
+}
+
+// SpanFromContext returns the span ContextWithSpan stored in ctx, or nil.
+func SpanFromContext(ctx context.Context) *Span {
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
 }
 
 // Child opens a sub-span sharing the parent's trace ID. Safe to call

@@ -80,12 +80,12 @@ func TestSessionFetchDataPayloadAndFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	fail := true
-	s.FetchData = func(label int) ([]byte, error) {
+	s.Source = func(label int) (Download, error) {
 		if label == 1 && fail {
 			fail = false
-			return nil, errors.New("transient")
+			return Download{}, errors.New("transient")
 		}
-		return make([]byte, m.Models[label].Bytes), nil
+		return manifestDownload(m, label), nil
 	}
 	s.Run()
 	// Label 1's first fetch failed: segment 1 degraded, label 1 retried

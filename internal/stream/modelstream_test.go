@@ -127,3 +127,41 @@ func TestSessionModelStreamBackboneFirstDelta(t *testing.T) {
 		t.Fatalf("BackboneBytes grew to %d on reuse", s.BackboneBytes)
 	}
 }
+
+// TestSessionSourceChargesWhatMoved pins the Source seam's accounting:
+// the session charges the bytes each delivery reports by kind — a
+// fallback as a full model, a failed delivery's already-moved backbone
+// too — and the breakdown still sums to ModelBytes.
+func TestSessionSourceChargesWhatMoved(t *testing.T) {
+	m := modelStreamManifest()
+	s, err := NewSession(m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Source = func(label int) (Download, error) {
+		switch label {
+		case 0: // the backbone's own label
+			return Download{Data: make([]byte, 100), Backbone: 100}, nil
+		case 1: // backbone already in hand: only its delta moves
+			return Download{Data: make([]byte, 25), Delta: 25}, nil
+		case 2: // assembly failed, so the complete model was fetched
+			return Download{Data: make([]byte, 120), Full: 120}, nil
+		}
+		return Download{Full: 40}, errInjected // bytes moved, then the delivery failed
+	}
+	s.Run()
+	if s.BackboneBytes != 100 || s.DeltaModelBytes != 25 || s.FullModelBytes != 160 {
+		t.Fatalf("breakdown backbone=%d delta=%d full=%d, want 100/25/160",
+			s.BackboneBytes, s.DeltaModelBytes, s.FullModelBytes)
+	}
+	if s.ModelBytes != 285 {
+		t.Fatalf("ModelBytes = %d, want 285", s.ModelBytes)
+	}
+	last := s.Events[len(s.Events)-1]
+	if !last.Degraded || last.ModelDownloaded || last.ModelBytes != 40 {
+		t.Fatalf("failed delivery event %+v, want degraded, not downloaded, 40 bytes charged", last)
+	}
+	if s.Downloads != 3 || s.DegradedSegments != 1 {
+		t.Fatalf("downloads=%d degraded=%d, want 3/1", s.Downloads, s.DegradedSegments)
+	}
+}

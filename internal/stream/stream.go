@@ -7,19 +7,24 @@
 // # Fault model
 //
 // Algorithm 1 assumes every model fetch succeeds; Session extends it
-// with graceful degradation. A Session with a Fetcher hook performs a
-// real download per cache miss, and a failed fetch degrades the segment
-// (Event.Degraded, Session.DegradedSegments) instead of aborting the
-// walk: playback continues without SR for that segment, and because the
-// cache only ever records successful downloads, the label is retried
+// with graceful degradation. A Session with a Source performs a real
+// model delivery per cache miss, and a failed delivery degrades the
+// segment (Event.Degraded, Session.DegradedSegments) instead of aborting
+// the walk: playback continues without SR for that segment, and because
+// the cache only ever records successful downloads, the label is retried
 // lazily the next time a segment references it. The degraded counters
 // surface as the obs metrics degraded_segments_total and
 // model_fetch_failures_total. See docs/OPERATIONS.md for the full
 // failure-mode catalogue and DESIGN.md for the retry/degrade state
 // machine.
 //
+// Session.Source is the one delivery seam: core.PlaySource, the playback
+// engine behind core.Player and transport.Client, installs one that
+// reports the bytes each real delivery moved (Download). A nil Source
+// simulates every fetch at its manifest-declared size.
+//
 // A Session is single-goroutine, like the transport.Client that usually
-// backs its Fetcher: segments are walked strictly in order, one at a
+// backs its Source: segments are walked strictly in order, one at a
 // time.
 package stream
 
@@ -190,6 +195,19 @@ type Event struct {
 	// Degraded marks a segment whose model fetch failed: it plays without
 	// SR and its label stays uncached so the next reference retries.
 	Degraded bool
+	// Evicted lists the labels the model's cache insertion evicted to
+	// stay within the byte budget.
+	Evicted []int
+}
+
+// Download is one model delivery as a Source performed it. Data is what
+// the cache keeps: the wire unit (a delta, the backbone payload for the
+// backbone's own label, or the complete weights). Backbone, Delta and
+// Full are the bytes moved by kind; they are charged even when the
+// delivery failed (a backbone fetched before its delta failed was paid).
+type Download struct {
+	Data                  []byte
+	Backbone, Delta, Full int
 }
 
 // Session simulates a client streaming session: segments are downloaded in
@@ -229,35 +247,30 @@ type Session struct {
 	CacheHits       int
 	// CacheMisses counts segments whose model had to be downloaded
 	// (kept separate from Downloads so hit+miss covers exactly the
-	// segments that needed a model; with a Fetcher the two differ by the
+	// segments that needed a model; with a Source the two differ by the
 	// failed attempts, which are misses but not downloads).
 	CacheMisses int
 	// Downloads counts successful model downloads.
 	Downloads int
 
-	// Fetcher, when set, performs the actual model download on each cache
-	// miss (e.g. a transport round-trip). A nil Fetcher (the default)
-	// treats every download as instantaneous success — the seed
-	// simulation behaviour. When Fetcher returns an error the segment is
-	// marked degraded (it plays without SR), the failure is recorded in
-	// DegradedSegments and the obs counters model_fetch_failures_total /
-	// degraded_segments_total, and the label stays uncached so its next
-	// reference retries the fetch lazily.
-	Fetcher func(label int) error
-	// FetchData, when set, performs the model download and returns the
-	// serialized weights, which are what the byte-budgeted cache holds.
-	// It takes precedence over Fetcher; error semantics are identical.
-	// When neither hook is set (or Fetcher alone succeeded) the cache
-	// stores a placeholder of the manifest-declared size, so byte
-	// accounting and eviction behave identically in simulation.
-	FetchData func(label int) ([]byte, error)
+	// Source, when set, performs the model delivery of each cache miss.
+	// An error degrades the segment (it plays without SR; counted in
+	// DegradedSegments, model_fetch_failures_total and
+	// degraded_segments_total) and leaves the label uncached, so its next
+	// reference retries lazily. With a backbone in the manifest the cache
+	// then meters content-defined chunks (BoundedCache.EnableChunked). A
+	// nil Source simulates: instant success at the manifest-declared
+	// size, a placeholder of that size cached with whole-payload
+	// accounting (zero-filled placeholders would dedupe to nothing).
+	Source func(label int) (Download, error)
 	// DegradedSegments counts segments whose model fetch failed.
 	DegradedSegments int
 
-	// backboneFetched records that this session already paid for the
-	// shared backbone; every later model assembled from it is free of
+	// backboneFetched records that a simulated session already paid for
+	// the shared backbone; every later model assembled from it is free of
 	// that cost (the model-stream accounting).
 	backboneFetched bool
+	started         bool // the first Step chose the cache accounting
 }
 
 // NewSession starts a session over manifest. When useCache is false every
@@ -293,11 +306,27 @@ func (s *Session) Run() int {
 }
 
 // Step processes one segment: download the segment, then fetch its model
-// if it is not cached (Algorithm 1 lines 3–6).
+// if it is not cached (Algorithm 1 lines 3–6). It records into its own
+// "segment_fetch" child span of Trace.
 func (s *Session) Step(seg SegmentInfo) Event {
 	sp := s.Trace.Child("segment_fetch")
 	sp.Set("segment", seg.Index)
+	ev := s.StepIn(sp, seg)
+	sp.End()
+	return ev
+}
+
+// StepIn is Step recording into sp, a span the caller opened and ends. A
+// playback engine downloads the segment under sp first, so the segment
+// and model fetches of one step share one segment_fetch span.
+func (s *Session) StepIn(sp *obs.Span, seg SegmentInfo) Event {
 	s.cache.Obs = s.Obs // single-goroutine session; keep the cache's registry in sync
+	if !s.started {
+		s.started = true
+		if s.Source != nil && s.manifest.Backbone != nil {
+			s.cache.EnableChunked()
+		}
+	}
 	ev := Event{Segment: seg.Index, ModelLabel: seg.ModelLabel, SegmentBytes: seg.Bytes}
 	s.VideoBytes += seg.Bytes
 	s.Obs.Counter("segments_fetched_total").Inc()
@@ -311,13 +340,14 @@ func (s *Session) Step(seg SegmentInfo) Event {
 		} else {
 			s.CacheMisses++
 			s.Obs.Counter("cache_misses_total").Inc()
-			var data []byte
+			var d Download
 			var err error
-			if s.FetchData != nil {
-				data, err = s.FetchData(seg.ModelLabel)
-			} else if s.Fetcher != nil {
-				err = s.Fetcher(seg.ModelLabel)
+			if s.Source != nil {
+				d, err = s.Source(seg.ModelLabel)
+			} else {
+				d = s.simulate(seg.ModelLabel)
 			}
+			ev.ModelBytes = s.charge(d)
 			if err != nil {
 				// Degrade instead of aborting: the segment plays
 				// without SR and the label stays uncached so its next
@@ -328,61 +358,63 @@ func (s *Session) Step(seg SegmentInfo) Event {
 				s.Obs.Counter("model_fetch_failures_total").Inc()
 				s.Obs.Counter("degraded_segments_total").Inc()
 				sp.Set("cache", "degraded")
-				s.Events = append(s.Events, ev)
-				sp.End()
-				return ev
-			}
-			mi := s.manifest.Models[seg.ModelLabel]
-			ev.ModelDownloaded = true
-			s.Downloads++
-			cost := mi.Bytes
-			bb := s.manifest.Backbone
-			switch {
-			case mi.Delta:
-				// Delta entry: the first one in the session also pulls the
-				// shared backbone; after that each new cluster costs only
-				// its delta payload.
-				if !s.backboneFetched {
-					s.backboneFetched = true
-					cost += bb.Bytes
-					s.BackboneBytes += bb.Bytes
-					s.Obs.Counter("modelstream_backbone_fetch_total").Inc()
+			} else {
+				ev.ModelDownloaded = true
+				s.Downloads++
+				sp.Set("cache", "miss")
+				sp.Set("model_bytes", ev.ModelBytes)
+				if ev.Evicted = s.cache.Put(seg.ModelLabel, d.Data); len(ev.Evicted) > 0 {
+					sp.Set("evicted", len(ev.Evicted))
 				}
-				s.DeltaModelBytes += mi.Bytes
-				s.Obs.Counter("modelstream_delta_bytes_total").Add(int64(mi.Bytes))
-			case bb != nil && seg.ModelLabel == bb.Label:
-				// The backbone's own label: its full payload is the backbone
-				// itself, so a session that already fetched the backbone
-				// reuses it for free, and fetching it here covers every
-				// later delta.
-				if s.backboneFetched {
-					cost = 0
-				} else {
-					s.backboneFetched = true
-					s.Obs.Counter("modelstream_backbone_fetch_total").Inc()
-				}
-				s.BackboneBytes += cost
-			default:
-				s.FullModelBytes += mi.Bytes
-			}
-			ev.ModelBytes = cost
-			s.ModelBytes += cost
-			s.Obs.Counter("model_bytes_total").Add(int64(cost))
-			sp.Set("cache", "miss")
-			sp.Set("model_bytes", cost)
-			if data == nil {
-				// Simulation mode: no real payload, so budget accounting
-				// uses the manifest-declared size.
-				data = make([]byte, mi.Bytes)
-			}
-			if evicted := s.cache.Put(seg.ModelLabel, data); len(evicted) > 0 {
-				sp.Set("evicted", len(evicted))
 			}
 		}
 	}
 	s.Events = append(s.Events, ev)
-	sp.End()
 	return ev
+}
+
+// simulate is the nil-Source delivery. A delta entry's first delivery
+// also pulls the backbone; the backbone's own label is free once the
+// backbone is in hand.
+func (s *Session) simulate(label int) Download {
+	mi := s.manifest.Models[label]
+	d := Download{Data: make([]byte, mi.Bytes)}
+	bb := s.manifest.Backbone
+	switch {
+	case mi.Delta:
+		if !s.backboneFetched {
+			s.backboneFetched = true
+			d.Backbone = bb.Bytes
+		}
+		d.Delta = mi.Bytes
+	case bb != nil && label == bb.Label:
+		if !s.backboneFetched {
+			s.backboneFetched = true
+			d.Backbone = mi.Bytes
+		}
+	default:
+		d.Full = mi.Bytes
+	}
+	return d
+}
+
+// charge books the bytes one delivery moved and returns their sum.
+func (s *Session) charge(d Download) int {
+	cost := d.Backbone + d.Delta + d.Full
+	if d.Backbone > 0 {
+		s.BackboneBytes += d.Backbone
+		s.Obs.Counter("modelstream_backbone_fetch_total").Inc()
+	}
+	if d.Delta > 0 {
+		s.DeltaModelBytes += d.Delta
+		s.Obs.Counter("modelstream_delta_bytes_total").Add(int64(d.Delta))
+	}
+	s.FullModelBytes += d.Full
+	s.ModelBytes += cost
+	if cost > 0 {
+		s.Obs.Counter("model_bytes_total").Add(int64(cost))
+	}
+	return cost
 }
 
 // TotalBytes returns video + model bytes transferred so far.

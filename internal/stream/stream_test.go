@@ -159,16 +159,25 @@ func TestManifestValidate(t *testing.T) {
 	}
 }
 
-// failTwiceFetcher fails the first two fetches of each label, modelling a
-// transient outage that lazy retry rides out.
-func failTwiceFetcher(failed map[int]int) func(int) error {
-	return func(label int) error {
+// failTwiceSource fails the first two deliveries of each label and
+// otherwise delivers the manifest-declared size, modelling a transient
+// outage that lazy retry rides out.
+func failTwiceSource(m *Manifest, failed map[int]int) func(int) (Download, error) {
+	return func(label int) (Download, error) {
 		if failed[label] < 2 {
 			failed[label]++
-			return errInjected
+			return Download{}, errInjected
 		}
-		return nil
+		return manifestDownload(m, label), nil
 	}
+}
+
+// manifestDownload is a successful complete-model delivery of label's
+// manifest-declared size — what a nil Source simulates for a manifest
+// without a backbone.
+func manifestDownload(m *Manifest, label int) Download {
+	n := m.Models[label].Bytes
+	return Download{Data: make([]byte, n), Full: n}
 }
 
 var errInjected = fmt.Errorf("stream_test: injected fetch failure")
@@ -180,7 +189,7 @@ func TestSessionDegradesOnFetchFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := map[int]int{}
-	s.Fetcher = failTwiceFetcher(failed)
+	s.Source = failTwiceSource(m, failed)
 	s.Run()
 	// Label 2 covers segments 3,4,5: fetches at 3 and 4 fail, 5 succeeds.
 	// Labels 0,1,3 cover too few segments to recover.
@@ -222,10 +231,10 @@ func TestSessionFetcherAllSucceedMatchesSeed(t *testing.T) {
 	plain, _ := NewSession(m, true)
 	plain.Run()
 	hooked, _ := NewSession(m, true)
-	hooked.Fetcher = func(int) error { return nil }
+	hooked.Source = func(label int) (Download, error) { return manifestDownload(m, label), nil }
 	hooked.Run()
 	if !reflect.DeepEqual(plain.Events, hooked.Events) {
-		t.Error("always-succeeding Fetcher changed the event log")
+		t.Error("always-succeeding Source changed the event log")
 	}
 	if plain.TotalBytes() != hooked.TotalBytes() ||
 		plain.Downloads != hooked.Downloads ||

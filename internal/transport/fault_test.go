@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"reflect"
 	"strings"
@@ -290,10 +291,10 @@ func TestRetryBackoffSchedule(t *testing.T) {
 func TestBackoffJitterBounds(t *testing.T) {
 	pol := RetryPolicy{MaxRetries: 3, BaseDelay: 100 * time.Millisecond, Jitter: 0.5}.withDefaults()
 	schedule := func(seed int64) []time.Duration {
-		c := &Client{Retry: RetryPolicy{Seed: seed}}
+		rng := rand.New(rand.NewSource(seed))
 		var out []time.Duration
 		for a := 0; a < 6; a++ {
-			d := pol.backoff(a, c.jitterRNG())
+			d := pol.backoff(a, rng)
 			out = append(out, d)
 			base := pol.BaseDelay << a
 			if base > pol.MaxDelay {

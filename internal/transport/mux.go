@@ -1,19 +1,15 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"os"
 	"sync"
 	"time"
 
-	"dcsr/internal/edsr"
-	"dcsr/internal/nn"
 	"dcsr/internal/obs"
-	"dcsr/internal/stream"
 )
 
 // MuxClient multiplexes many concurrent requests over one connection
@@ -28,13 +24,11 @@ import (
 // sequential Client against old servers). The same probe runs again on
 // every reconnect.
 //
-// Failure semantics follow the sequential Client: transport errors mark
-// the connection broken, and the next request redials; StatusRetryAfter
-// sheds are retried with the server's hint as a backoff floor; other
-// non-OK statuses are returned immediately as deterministic rejections.
-// A request timeout does NOT break the connection — the late response is
-// discarded by ID when it eventually arrives — which is what makes
-// per-request deadlines cheap under pipelining.
+// Requests go through the retrier the sequential Client uses (see Do):
+// a transport error retires the connection and the retry redials. A
+// request timeout does NOT break the connection — the late response is
+// discarded by ID — which makes per-request deadlines cheap under
+// pipelining.
 type MuxClient struct {
 	// Retry configures per-request deadlines, retry/backoff and the shed
 	// budget, exactly as on Client.
@@ -58,20 +52,11 @@ type MuxClient struct {
 	nextID uint32
 	closed bool
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	// bbMu guards backbones, the per-video cache of verified backbone
-	// payloads ModelData assembles delta-shipped models from. Holding it
-	// across the fetch means N concurrent sessions of one video pay for
-	// exactly one OpBackbone download.
-	bbMu      sync.Mutex
-	backbones map[uint32][]byte
+	r retrier // the retry counters and the jitter PRNG
 
 	stats struct {
 		sync.Mutex
-		retries, timeouts, reconnects, sheds int
-		bytesUp, bytesDown                   int64
+		bytesUp, bytesDown int64
 	}
 }
 
@@ -286,9 +271,7 @@ func (m *MuxClient) conn(stale *muxConn) (*muxConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.stats.Lock()
-	m.stats.reconnects++
-	m.stats.Unlock()
+	m.r.count(&m.r.Reconnects)
 	m.Obs.Counter("transport_client_reconnects_total").Inc()
 	m.Log.Info("transport: mux reconnected")
 	return fresh, nil
@@ -301,17 +284,6 @@ func (m *MuxClient) addBytes(up, down int64) {
 	m.stats.Unlock()
 	m.Obs.Counter("transport_client_bytes_up_total").Add(up)
 	m.Obs.Counter("transport_client_bytes_down_total").Add(down)
-}
-
-// backoff draws one jittered backoff under the rng lock (the shared PRNG
-// is the only retry state concurrent requests contend on).
-func (m *MuxClient) backoff(pol RetryPolicy, attempt int) time.Duration {
-	m.rngMu.Lock()
-	defer m.rngMu.Unlock()
-	if m.rng == nil {
-		m.rng = rand.New(rand.NewSource(m.Retry.Seed))
-	}
-	return pol.backoff(attempt, m.rng)
 }
 
 // exchange performs one pipelined request/response on the current
@@ -375,204 +347,41 @@ func (m *MuxClient) exchange(ctx context.Context, op byte, arg, video uint32, ti
 		return nil, mc, ctx.Err()
 	case <-expire:
 		mc.unregister(id)
-		m.stats.Lock()
-		m.stats.timeouts++
-		m.stats.Unlock()
-		m.Obs.Counter("transport_client_timeouts_total").Inc()
 		// The connection itself is fine — the response will be discarded
 		// by ID — so this is NOT routed through reconnect.
 		return nil, mc, errTimeout
 	}
 }
 
-// errTimeout is the mux client's per-request deadline expiry. It
-// satisfies the retryable-transport-failure classification without
-// poisoning the connection.
-var errTimeout = errors.New("transport: request timed out")
+// errTimeout is the mux client's per-request deadline expiry. The
+// retrier counts it as a timeout (it wraps os.ErrDeadlineExceeded) and
+// retries it as a transport failure, but it does not poison the
+// connection.
+var errTimeout = fmt.Errorf("transport: request timed out: %w", os.ErrDeadlineExceeded)
 
-// Do performs one request against the given video through the full retry
-// state machine — the MuxClient counterpart of the sequential client's
+// Do performs one request against the given video through the shared
+// retrier — the MuxClient counterpart of the sequential client's
 // roundTrip. It is safe to call from any number of goroutines.
 func (m *MuxClient) Do(ctx context.Context, op byte, arg, video uint32) ([]byte, error) {
-	pol := m.Retry.withDefaults()
-	var lastErr error
-	var stale *muxConn
-	fails, sheds := 0, 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		timeout := pol.Timeout
-		if dl, ok := ctx.Deadline(); ok {
-			if rem := time.Until(dl); timeout == 0 || rem < timeout {
-				timeout = rem
-			}
-		}
-		payload, mc, err := m.exchange(ctx, op, arg, video, timeout, stale)
-		if err == nil {
-			return payload, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		var se *statusError
-		if errors.As(err, &se) {
-			if se.status != StatusRetryAfter {
-				return nil, err // deterministic rejection; never retried
-			}
-			m.stats.Lock()
-			m.stats.sheds++
-			m.stats.Unlock()
-			m.Obs.Counter("transport_client_shed_total").Inc()
-			if sheds >= pol.shedBudget() {
-				return nil, err
-			}
-			d := m.backoff(pol, sheds)
-			if d < se.hint {
-				d = se.hint
-			}
-			sheds++
-			m.Log.Warn("transport: mux request shed by server", "op", opName(op),
-				"hint", se.hint, "backoff", d)
-			if err := sleepCtx(ctx, d); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		lastErr = err
-		if !errors.Is(err, errTimeout) {
-			// Transport failure: this conn is done; route the retry
-			// through a reconnect.
-			stale = mc
-		}
-		if fails >= pol.MaxRetries {
-			return nil, lastErr
-		}
-		m.stats.Lock()
-		m.stats.retries++
-		m.stats.Unlock()
-		m.Obs.Counter("transport_client_retries_total").Inc()
-		d := m.backoff(pol, fails)
-		fails++
-		m.Log.Warn("transport: retrying mux request", "op", opName(op), "arg", arg,
-			"attempt", fails, "backoff", d, "err", lastErr)
-		if err := sleepCtx(ctx, d); err != nil {
-			return nil, err
-		}
-	}
+	return m.r.do(ctx, request{op: op, arg: arg, pol: m.Retry, obs: m.Obs, log: m.Log, via: &muxCall{m: m, video: video}})
 }
 
-// ModelData fetches micro model label of the given video through the
-// model stream when wm (that video's manifest) advertises a backbone:
-// delta-shipped labels download their dcW5 delta (the video's backbone is
-// fetched and verified at most once per client, shared by every
-// concurrent session), assemble against the backbone, and verify the
-// result against the manifest's full-payload digest before arming it.
-// Everything else — non-delta labels, manifests without a backbone, and
-// any assembly failure (modelstream_fallback_total) — takes the complete
-// OpModel fetch every server answers. The returned int is the wire bytes
-// this call downloaded (a delta label's first fetch also pays the
-// backbone).
-func (m *MuxClient) ModelData(ctx context.Context, video uint32, wm *WireManifest, label int, cfg edsr.Config) (*edsr.Model, int, error) {
-	var mi stream.ModelInfo
-	found := false
-	if wm != nil && wm.Backbone != nil {
-		for _, e := range wm.Models {
-			if e.Label == label {
-				mi, found = e, true
-				break
-			}
-		}
-	}
-	if !found || (!mi.Delta && label != wm.Backbone.Label) {
-		return m.fullModel(ctx, video, label, cfg)
-	}
-	model, wire, err := m.assembleModel(ctx, video, wm, label, cfg, mi)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, 0, err
-		}
-		m.Obs.Counter("modelstream_fallback_total").Inc()
-		m.Log.Warn("transport: mux model assembly failed; falling back to full fetch",
-			"model", label, "video", video, "err", err)
-		return m.fullModel(ctx, video, label, cfg)
-	}
-	return model, wire, nil
+// muxCall is one Do call's attempter: a transport failure retires the
+// connection it happened on so the retry redials, while a timeout keeps
+// the connection (the late response is discarded by ID).
+type muxCall struct {
+	m     *MuxClient
+	video uint32
+	stale *muxConn
 }
 
-// fullModel is the pre-model-stream path: complete weights via OpModel.
-func (m *MuxClient) fullModel(ctx context.Context, video uint32, label int, cfg edsr.Config) (*edsr.Model, int, error) {
-	data, err := m.Do(ctx, OpModel, uint32(label), video)
-	if err != nil {
-		return nil, 0, err
+func (c *muxCall) attempt(ctx context.Context, op byte, arg uint32, timeout time.Duration, _ TraceContext) ([]byte, error) {
+	payload, mc, err := c.m.exchange(ctx, op, arg, c.video, timeout, c.stale)
+	var se *statusError
+	if err != nil && !errors.As(err, &se) && !errors.Is(err, errTimeout) {
+		c.stale = mc
 	}
-	model, err := edsr.New(cfg, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := nn.LoadWeights(bytes.NewReader(data), model.Params()); err != nil {
-		return nil, 0, fmt.Errorf("transport: model %d: %w", label, err)
-	}
-	return model, len(data), nil
-}
-
-// videoBackbone returns video's verified backbone payload and the wire
-// bytes this call spent fetching it (zero on a cache hit).
-func (m *MuxClient) videoBackbone(ctx context.Context, video uint32, wm *WireManifest) ([]byte, int, error) {
-	m.bbMu.Lock()
-	defer m.bbMu.Unlock()
-	if bb, ok := m.backbones[video]; ok {
-		return bb, 0, nil
-	}
-	data, err := m.Do(ctx, OpBackbone, 0, video)
-	if err != nil {
-		return nil, 0, err
-	}
-	if got := payloadDigest(data); got != wm.Backbone.Digest {
-		return nil, 0, fmt.Errorf("transport: backbone digest %s, manifest says %s", got, wm.Backbone.Digest)
-	}
-	if m.backbones == nil {
-		m.backbones = make(map[uint32][]byte)
-	}
-	m.backbones[video] = data
-	m.Obs.Counter("modelstream_backbone_fetch_total").Inc()
-	return data, len(data), nil
-}
-
-// assembleModel serves one model-stream label: the backbone's own label
-// is the backbone payload itself; a delta label downloads its dcW5
-// payload and reconstructs, verified end-to-end by digest.
-func (m *MuxClient) assembleModel(ctx context.Context, video uint32, wm *WireManifest, label int, cfg edsr.Config, mi stream.ModelInfo) (*edsr.Model, int, error) {
-	bb, bbWire, err := m.videoBackbone(ctx, video, wm)
-	if err != nil {
-		return nil, 0, err
-	}
-	base, err := edsr.New(cfg, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := nn.LoadWeights(bytes.NewReader(bb), base.Params()); err != nil {
-		return nil, 0, fmt.Errorf("transport: backbone weights: %w", err)
-	}
-	if label == wm.Backbone.Label {
-		return base, bbWire, nil
-	}
-	delta, err := m.Do(ctx, OpModelDelta, uint32(label), video)
-	if err != nil {
-		return nil, 0, err
-	}
-	model, err := edsr.New(cfg, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := nn.ApplyWeightsDelta(base.Params(), delta, model.Params()); err != nil {
-		return nil, 0, fmt.Errorf("transport: model %d delta: %w", label, err)
-	}
-	if got := payloadDigest(nn.EncodeWeights(model.Params())); got != mi.Digest {
-		return nil, 0, fmt.Errorf("transport: model %d assembled digest %s, manifest says %s", label, got, mi.Digest)
-	}
-	m.Obs.Counter("modelstream_delta_bytes_total").Add(int64(len(delta)))
-	return model, bbWire + len(delta), nil
+	return payload, err
 }
 
 // MuxStats is a point-in-time snapshot of a MuxClient's accounting,
@@ -588,26 +397,11 @@ type MuxStats struct {
 
 // Stats snapshots the client's counters.
 func (m *MuxClient) Stats() MuxStats {
+	m.r.mu.Lock()
+	st := MuxStats{Retries: m.r.Retries, Timeouts: m.r.Timeouts, Reconnects: m.r.Reconnects, Sheds: m.r.Sheds}
+	m.r.mu.Unlock()
 	m.stats.Lock()
 	defer m.stats.Unlock()
-	return MuxStats{
-		Retries:    m.stats.retries,
-		Timeouts:   m.stats.timeouts,
-		Reconnects: m.stats.reconnects,
-		Sheds:      m.stats.sheds,
-		BytesUp:    m.stats.bytesUp,
-		BytesDown:  m.stats.bytesDown,
-	}
-}
-
-// sleepCtx blocks for d or until ctx is cancelled.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	st.BytesUp, st.BytesDown = m.stats.bytesUp, m.stats.bytesDown
+	return st
 }

@@ -99,6 +99,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"dcsr/internal/edsr"
@@ -134,6 +135,10 @@ const (
 	// needed.
 	StatusRetryAfter = 3
 )
+
+// payloadChunk is the most a response read allocates before payload
+// bytes arrive; larger payloads grow the buffer as they are read.
+const payloadChunk = 64 << 10
 
 // maxPayload bounds a single response (64 MiB) so a corrupt or malicious
 // length prefix cannot make the client allocate unbounded memory.
@@ -443,15 +448,31 @@ func readResponse(r io.Reader) (status byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, fmt.Errorf("transport: reading response header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	payload, err = readPayload(r, binary.BigEndian.Uint32(hdr[1:]))
+	return hdr[0], payload, err
+}
+
+// readPayload reads a response payload of the header-declared length n,
+// enforcing the payload bound. A payload of up to payloadChunk bytes is
+// read into one exact allocation; a larger one starts at payloadChunk
+// and doubles only as bytes arrive, so a header that lies about its
+// length costs a short read, not an n-byte allocation.
+func readPayload(r io.Reader, n uint32) ([]byte, error) {
 	if n > maxPayload {
-		return 0, nil, fmt.Errorf("transport: response of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("transport: response of %d bytes exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("transport: reading response payload: %w", err)
+	buf := make([]byte, 0, min(int(n), payloadChunk))
+	for len(buf) < int(n) {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(cap(buf), int(n)-len(buf)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), int(n))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, fmt.Errorf("transport: reading response payload: %w", err)
+		}
 	}
-	return hdr[0], payload, nil
+	return buf, nil
 }
 
 // writeResponseMux frames a multiplexed response: the echoed request ID,
@@ -480,14 +501,6 @@ func readResponseMux(r io.Reader) (id uint32, status byte, payload []byte, err e
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, fmt.Errorf("transport: reading mux response header: %w", err)
 	}
-	id = binary.BigEndian.Uint32(hdr[:4])
-	n := binary.BigEndian.Uint32(hdr[5:])
-	if n > maxPayload {
-		return 0, 0, nil, fmt.Errorf("transport: response of %d bytes exceeds limit", n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, fmt.Errorf("transport: reading mux response payload: %w", err)
-	}
-	return id, hdr[4], payload, nil
+	payload, err = readPayload(r, binary.BigEndian.Uint32(hdr[5:]))
+	return binary.BigEndian.Uint32(hdr[:4]), hdr[4], payload, err
 }

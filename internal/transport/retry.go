@@ -1,13 +1,17 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net"
 	"os"
+	"sync"
 	"time"
+
+	"dcsr/internal/obs"
 )
 
 // RetryPolicy configures how a Client survives delivery failures: how
@@ -167,3 +171,165 @@ func isTimeoutErr(err error) bool {
 // timeouts need; net.Conn, net.Pipe ends, faultnet.Conn and
 // ThrottledConn all provide it.
 type readDeadliner interface{ SetReadDeadline(time.Time) error }
+
+// retrier is the one retry/shed/backoff state machine; Client.roundTrip
+// and MuxClient.Do each drive it with their own attempt function. It owns
+// the shed budget (the server's hint floors the backoff), the failure
+// budget with jittered backoff, ctx-interruptible sleeps, and the
+// counters, log lines and attempt spans. Cancellation is
+// attempt-granular, and a ctx deadline tightens the attempt's timeout so
+// it cuts short even an in-flight read. Safe for concurrent use.
+type retrier struct {
+	// Retries, Timeouts, Reconnects and Sheds mirror the obs counters
+	// transport_client_{retries,timeouts,reconnects,shed}_total; the
+	// attempt functions count reconnects. StallTime sums the backoff
+	// sleeps: delivery time lost to faults.
+	Retries, Timeouts, Reconnects, Sheds int
+	StallTime                            time.Duration
+
+	sleep func(time.Duration) // test hook; a ctx-interruptible timer when nil
+	mu    sync.Mutex          // guards rng and the counters
+	rng   *rand.Rand          // jitter PRNG, lazily seeded from the policy
+}
+
+// attempter is what each client contributes to the retrier: one
+// exchange under the given read timeout. A *statusError is a protocol
+// answer; any other error is a retryable transport failure.
+type attempter interface {
+	attempt(ctx context.Context, op byte, arg uint32, timeout time.Duration, tc TraceContext) ([]byte, error)
+}
+
+// request is one call through the retrier. trace parents one
+// attempt-numbered span per attempt; with wire set, each span's identity
+// rides its request frame so the server span parents to the attempt that
+// reached it.
+type request struct {
+	op    byte
+	arg   uint32
+	pol   RetryPolicy
+	obs   *obs.Obs
+	log   *obs.Logger
+	trace *obs.Span
+	wire  bool
+	via   attempter
+}
+
+// do drives q through the state machine: attempt, classify, back off,
+// try again — up to MaxRetries extra attempts for transport failures and
+// the shed budget for sheds. Other statuses are returned at once.
+func (r *retrier) do(ctx context.Context, q request) ([]byte, error) {
+	pol := q.pol.withDefaults()
+	var lastErr error
+	fails, sheds := 0, 0
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		timeout := pol.Timeout
+		if dl, ok := ctx.Deadline(); ok {
+			if rem := time.Until(dl); timeout == 0 || rem < timeout {
+				timeout = rem
+			}
+		}
+		n := fails + sheds
+		asp := q.trace.Child("attempt")
+		asp.Set("op", opName(q.op))
+		asp.Set("attempt", n)
+		var tc TraceContext
+		if q.wire && asp != nil {
+			tc = TraceContext{TraceID: asp.TraceID(), SpanID: asp.SpanID(), Attempt: uint8(n)}
+		}
+		payload, err := q.via.attempt(ctx, q.op, q.arg, timeout, tc)
+		if err == nil {
+			asp.Set("outcome", "ok")
+			asp.End()
+			return payload, nil
+		}
+		var se *statusError
+		if errors.As(err, &se) {
+			if se.status != StatusRetryAfter {
+				asp.Set("outcome", "rejected")
+				asp.Set("status", int(se.status))
+				asp.End()
+				return nil, err // deterministic rejection; never retried
+			}
+			// Admission shed: the connection is still synchronized, so
+			// back off by at least the server's hint and try again under
+			// the shed budget.
+			r.count(&r.Sheds)
+			q.obs.Counter("transport_client_shed_total").Inc()
+			asp.Set("outcome", "shed")
+			asp.Set("hint", se.hint.String())
+			asp.End()
+			if sheds >= pol.shedBudget() {
+				return nil, err
+			}
+			d := r.backoff(pol, sheds, se.hint)
+			sheds++
+			q.log.Warn("transport: request shed by server", "op", opName(q.op), "arg", q.arg,
+				"hint", se.hint, "backoff", d)
+			if err := r.sleepFor(ctx, d); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if isTimeoutErr(err) {
+			r.count(&r.Timeouts)
+			q.obs.Counter("transport_client_timeouts_total").Inc()
+		}
+		asp.Set("outcome", "error")
+		asp.Set("error", err.Error())
+		asp.End()
+		lastErr = err
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if fails >= pol.MaxRetries {
+			return nil, lastErr
+		}
+		r.count(&r.Retries)
+		q.obs.Counter("transport_client_retries_total").Inc()
+		d := r.backoff(pol, fails, 0)
+		fails++
+		q.log.Warn("transport: retrying request", "op", opName(q.op), "arg", q.arg,
+			"attempt", fails, "backoff", d, "err", lastErr)
+		if err := r.sleepFor(ctx, d); err != nil {
+			return nil, err
+		}
+	}
+}
+
+func (r *retrier) count(c *int) {
+	r.mu.Lock()
+	*c++
+	r.mu.Unlock()
+}
+
+// backoff draws the n-th jittered backoff of pol, floored at floor, and
+// books it as stall time.
+func (r *retrier) backoff(pol RetryPolicy, n int, floor time.Duration) time.Duration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(pol.Seed))
+	}
+	d := max(pol.backoff(n, r.rng), floor)
+	r.StallTime += d
+	return d
+}
+
+// sleepFor blocks for d or until ctx is cancelled, whichever comes first.
+func (r *retrier) sleepFor(ctx context.Context, d time.Duration) error {
+	if r.sleep != nil {
+		r.sleep(d) // test hook: instantaneous
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}

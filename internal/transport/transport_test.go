@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -80,6 +83,38 @@ func TestResponsePayloadBound(t *testing.T) {
 	b.WriteString("\xff\xff\xff\xff")
 	if _, _, err := readResponse(strings.NewReader(b.String())); err == nil {
 		t.Fatal("oversized response accepted")
+	}
+}
+
+// TestResponseReadAllocatesAsBytesArrive pins the bounded response
+// read on both framings: a header declaring the maximum payload followed
+// by EOF must fail after allocating well under 1 MiB, not reserve the
+// declared 64 MiB before the first payload byte arrives.
+func TestResponseReadAllocatesAsBytesArrive(t *testing.T) {
+	classic := make([]byte, 5)
+	classic[0] = StatusOK
+	binary.BigEndian.PutUint32(classic[1:], maxPayload)
+	mux := make([]byte, muxRespFrameBytes)
+	binary.BigEndian.PutUint32(mux[:4], 7)
+	mux[4] = StatusOK
+	binary.BigEndian.PutUint32(mux[5:], maxPayload)
+	for _, tc := range []struct {
+		name string
+		read func() error
+	}{
+		{"classic", func() error { _, _, err := readResponse(bytes.NewReader(classic)); return err }},
+		{"mux", func() error { _, _, _, err := readResponseMux(bytes.NewReader(mux)); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated %d-byte payload accepted", tc.name, maxPayload)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes for a payload that never arrived", tc.name, alloc)
+		}
 	}
 }
 
